@@ -11,7 +11,7 @@
 //   --trace                               print the per-iteration trace
 //   --trace-out FILE                      write a Chrome trace-event JSON
 //                                         timeline (lacc/fastsv only)
-//   --json FILE                           write lacc-metrics-v1 JSON
+//   --json FILE                           write lacc-metrics-v7 JSON
 //   --prepass                             Afforest-style sampling pre-pass
 //                                         before the rounds (lacc only)
 //   --sample-rounds N                     pre-pass neighbor rounds (default 2)

@@ -82,12 +82,6 @@ void DeltaStore::restore_run(std::vector<CscCoord> run) {
   runs_.push_back(std::move(run));
 }
 
-EdgeId DeltaStore::global_nnz(dist::ProcGrid& grid) const {
-  fence();
-  return grid.world().allreduce(local_nnz_,
-                                [](EdgeId a, EdgeId b) { return a + b; });
-}
-
 std::vector<CscCoord> DeltaStore::drain_merged(dist::ProcGrid& grid) {
   fence();
   // Draining flattens the runs; any run still pending would have its edges

@@ -101,9 +101,6 @@ class DeltaStore {
     return runs_.size();
   }
 
-  /// Collective: sum of local_nnz over ranks.
-  EdgeId global_nnz(dist::ProcGrid& grid) const;
-
   /// Visit every pending (not yet label-processed) coordinate, run by run.
   template <typename Fn>
   void for_each_pending(Fn&& fn) const {

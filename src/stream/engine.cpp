@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 
 #include "core/lacc_dist.hpp"
@@ -11,7 +12,9 @@
 #include "dist/ops.hpp"
 #include "stream/delta_store.hpp"
 #include "stream/durable/version_set.hpp"
+#include "support/disjoint_set.hpp"
 #include "support/error.hpp"
+#include "support/sort.hpp"
 #include "support/timer.hpp"
 
 namespace lacc::stream {
@@ -21,7 +24,6 @@ using dist::CscCoord;
 using dist::DistCsc;
 using dist::DistVec;
 using dist::ProcGrid;
-using dist::Tuple;
 
 namespace {
 
@@ -40,6 +42,52 @@ CommTuning tuning_from(const core::LaccOptions& options) {
 }
 
 constexpr auto kSum = [](std::uint64_t a, std::uint64_t b) { return a + b; };
+
+/// The epoch's uniform policy inputs, summed over ranks in one allreduce.
+struct EpochCounts {
+  std::uint64_t cross;  ///< cross-component pending edges
+  EdgeId delta_nnz;     ///< delta store entries
+};
+
+/// A cross-component edge contracted to its endpoints' labels (current
+/// component roots), lo < hi.
+struct RootPair {
+  VertexId lo;
+  VertexId hi;
+};
+
+/// A touched root and its component size, as the root's owner holds it.
+struct RootSize {
+  VertexId root;
+  std::uint64_t size;
+  friend bool operator==(const RootSize&, const RootSize&) = default;
+};
+
+/// Contract `pairs` (vertex ids below n) onto dense ids: each endpoint
+/// becomes its index among the distinct endpoints in ascending order, and
+/// `distinct` receives their count.  Linear: one radix sort, one scan.
+std::vector<RootPair> to_dense(const std::vector<RootPair>& pairs, VertexId n,
+                               VertexId& distinct) {
+  struct End {
+    VertexId root;
+    std::size_t at;  ///< 2 * pair index + (0 for lo, 1 for hi)
+  };
+  std::vector<End> ends, scratch;
+  ends.reserve(pairs.size() * 2);
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    ends.push_back({pairs[k].lo, 2 * k});
+    ends.push_back({pairs[k].hi, 2 * k + 1});
+  }
+  radix_sort_by(ends, scratch, [](const End& e) { return e.root; }, n);
+  std::vector<RootPair> dense(pairs.size());
+  distinct = 0;
+  for (std::size_t k = 0; k < ends.size(); ++k) {
+    if (k == 0 || ends[k].root != ends[k - 1].root) ++distinct;
+    const std::size_t at = ends[k].at;
+    (at % 2 == 0 ? dense[at / 2].lo : dense[at / 2].hi) = distinct - 1;
+  }
+  return dense;
+}
 
 /// Recompute labels + comp_size from the base via the static algorithm and
 /// re-canonicalize.  Shared by the full-rebuild path and recovery — the
@@ -113,7 +161,6 @@ StreamEngine::StreamEngine(VertexId n, int nranks,
       vs_ == nullptr ? 0 : (recover ? rplan.wal_gen : vs_->manifest().wal_gen);
 
   Timer recovery_timer;
-  std::vector<VertexId> flat_labels;
   std::uint64_t sh_replayed = 0, sh_pending_undirected = 0;
 
   const graph::EdgeList empty(n_);
@@ -186,9 +233,7 @@ StreamEngine::StreamEngine(VertexId n, int nranks,
 
     const std::uint64_t replayed_total = world.allreduce(replayed, kSum);
     pending_undirected = world.allreduce(pending_undirected, kSum);
-    auto flat = dist::to_global(grid, *slot.labels, kNoVertex);
     if (rank == 0) {
-      flat_labels = std::move(flat);
       sh_replayed = replayed_total;
       sh_pending_undirected = pending_undirected;
     }
@@ -201,7 +246,7 @@ StreamEngine::StreamEngine(VertexId n, int nranks,
     epoch_ = vs_->manifest().epoch;
     recovered_ = true;
     recovered_epoch_ = epoch_;
-    current_labels_ = std::move(flat_labels);
+    current_labels_ = gather_labels();
     components_ = 0;
     for (VertexId v = 0; v < n_; ++v) {
       if (current_labels_[v] == v) ++components_;
@@ -288,7 +333,6 @@ EpochStats StreamEngine::advance_epoch() {
 
   // Written by the matching rank / by rank 0 only; read after the join.
   std::vector<double> modeled(static_cast<std::size_t>(nranks_), 0.0);
-  std::vector<VertexId> flat_labels;
   std::uint64_t sh_cross = 0, sh_dirty = 0, sh_last_seq = 0;
   EdgeId sh_delta_nnz = 0;
   bool sh_full = false, sh_compact = false, sh_applied = false;
@@ -306,8 +350,9 @@ EpochStats StreamEngine::advance_epoch() {
     // --- Filter pending edges down to cross-component edges: one batched
     // label lookup over both endpoints of every pending undirected edge.
     // `cross` holds (lo, hi) pairs of the endpoints' current labels.
-    std::vector<std::pair<VertexId, VertexId>> cross;
+    std::vector<RootPair> cross;
     std::uint64_t cross_total = 0;
+    EdgeId delta_nnz = 0;
     {
       sim::Region region(world, "stream-filter");
       std::vector<VertexId> req;
@@ -323,34 +368,59 @@ EpochStats StreamEngine::advance_epoch() {
         LACC_CHECK(got[k].second && got[k + 1].second);
         const VertexId lu = got[k].first, lv = got[k + 1].first;
         if (lu != lv)
-          cross.emplace_back(std::min(lu, lv), std::max(lu, lv));
+          cross.push_back({std::min(lu, lv), std::max(lu, lv)});
       }
       world.charge_compute(static_cast<double>(got.size()));
-      cross_total = world.allreduce(
-          static_cast<std::uint64_t>(cross.size()), kSum);
+      const EpochCounts total = world.allreduce(
+          EpochCounts{cross.size(), delta.local_nnz()},
+          [](EpochCounts a, EpochCounts b) {
+            return EpochCounts{a.cross + b.cross, a.delta_nnz + b.delta_nnz};
+          });
+      cross_total = total.cross;
+      delta_nnz = total.delta_nnz;
     }
     delta.mark_pending_processed();
 
-    // --- Dirty fraction: mark the touched roots, sum their component
-    // sizes.  This is what decides incremental vs full recompute.
+    // --- Dirty mass, from a replicated view of the touched roots.  Each rank
+    // cuts its cross pairs down to a spanning forest over its distinct roots
+    // (duplicate and parallel pairs, and cycles, drop out; every root a pair
+    // touched stays covered).  One allgatherv ships the forests; a second
+    // ships each touched root's component size from the root's owner.  Both
+    // sit under the uniform cross_total branch.
+    std::vector<RootPair> pairs;    // every rank's forest pairs
+    std::vector<RootSize> touched;  // every touched root, ascending
     std::uint64_t dirty = 0;
     if (cross_total != 0) {
       sim::Region region(world, "stream-dirty");
-      DistVec<std::uint8_t> touched(grid, n);
-      std::vector<VertexId> roots;
-      roots.reserve(cross.size() * 2);
-      for (const auto& [lo, hi] : cross) {
-        roots.push_back(lo);
-        roots.push_back(hi);
+      std::vector<RootPair> forest;
+      {
+        VertexId local_roots = 0;
+        const auto local = to_dense(cross, n, local_roots);
+        support::DisjointSet sets(local_roots);
+        for (std::size_t k = 0; k < cross.size(); ++k)
+          if (sets.unite(local[k].lo, local[k].hi)) forest.push_back(cross[k]);
       }
-      dist::scatter_set(grid, touched, std::move(roots), 1, tuning);
-      std::uint64_t local = 0;
-      touched.for_each_stored([&](VertexId g, std::uint8_t) {
-        LACC_DCHECK(comp_size.has(g));
-        local += comp_size.get_or(g, 0);
-      });
-      world.charge_compute(static_cast<double>(touched.local_nvals()));
-      dirty = world.allreduce(local, kSum);
+      pairs = world.allgatherv(forest);
+
+      const auto by_root = [](const RootSize& e) { return e.root; };
+      std::vector<RootSize> owned, scratch;
+      for (const RootPair& e : pairs) {
+        for (const VertexId r : {e.lo, e.hi}) {
+          if (!comp_size.owns(r)) continue;
+          LACC_DCHECK(comp_size.has(r));
+          owned.push_back({r, comp_size.get_or(r, 0)});
+        }
+      }
+      radix_sort_by(owned, scratch, by_root, n);
+      owned.erase(std::unique(owned.begin(), owned.end()), owned.end());
+      // Every touched root has exactly one owner, so the gathered entries
+      // sorted by root are the touched roots, each once.
+      touched = world.allgatherv(owned);
+      radix_sort_by(touched, scratch, by_root, n);
+      for (const RootSize& e : touched) dirty += e.size;
+      world.charge_compute(static_cast<double>(cross.size()) * 2 +
+                           static_cast<double>(pairs.size()) * 2 +
+                           static_cast<double>(touched.size()));
     }
 
     // --- Policy (uniform across ranks: all inputs are global reductions).
@@ -358,7 +428,6 @@ EpochStats StreamEngine::advance_epoch() {
         n == 0 ? 0.0 : static_cast<double>(dirty) / static_cast<double>(n);
     const bool full =
         cross_total != 0 && dirty_frac > options_.rebuild_threshold;
-    const EdgeId delta_nnz = delta.global_nnz(grid);
     const bool compact =
         full || static_cast<double>(delta_nnz) >
                     options_.compaction_factor *
@@ -392,102 +461,54 @@ EpochStats StreamEngine::advance_epoch() {
       iterations = rebuild_labels(grid, world, options_.lacc, n, *slot.base,
                                   labels, comp_size);
     } else if (cross_total != 0) {
-      // --- Incremental path: Shiloach–Vishkin on the contracted multigraph
-      // whose vertices are current roots and whose edges are the cross
-      // pairs.  Each round hooks larger roots onto smaller ones (the
-      // hook-to-root guard keeps the forest flat-ish) and pointer-jumps
-      // every remaining pair one level; a pair retires when its endpoints'
-      // labels agree.
-      sim::Region region(world, "stream-inc");
-      while (true) {
-        ++iterations;
-        LACC_CHECK_MSG(iterations <= options_.lacc.max_iterations,
-                       "incremental hooking failed to converge");
-        std::vector<Tuple<VertexId>> hooks;
-        hooks.reserve(cross.size());
-        for (const auto& [lo, hi] : cross) hooks.push_back({hi, lo});
-        dist::scatter_assign_min(grid, labels, std::move(hooks), tuning,
-                                 /*only_if_root=*/true);
-
-        std::vector<VertexId> req;
-        req.reserve(cross.size() * 2);
-        for (const auto& [lo, hi] : cross) {
-          req.push_back(lo);
-          req.push_back(hi);
-        }
-        const auto got =
-            dist::gather_values(grid, labels, req, tuning, "stream_inc");
-        std::size_t keep = 0;
-        for (std::size_t k = 0; k < cross.size(); ++k) {
-          const VertexId lu = got[2 * k].first, lv = got[2 * k + 1].first;
-          if (lu != lv) cross[keep++] = {std::min(lu, lv), std::max(lu, lv)};
-        }
-        cross.resize(keep);
-        world.charge_compute(static_cast<double>(got.size()));
-        if (!dist::global_any(grid, !cross.empty())) break;
-      }
-
-      // Shortcut: flatten the hook chains left on old roots, halving path
-      // lengths per round until every old root points at its final root.
+      // --- Incremental path: every rank runs the same union-find over the
+      // gathered pairs, so no further collective is needed.  Roots are
+      // ascending, so the least index of each merged set is its minimum
+      // root, which becomes the group's label.
+      iterations = 1;
+      const auto count = static_cast<VertexId>(touched.size());
+      std::vector<VertexId> to(count);              // new root of touched[k]
+      std::vector<std::uint64_t> merged(count, 0);  // group size, by new root
       {
-        sim::Region shortcut(world, "stream-shortcut");
-        while (true) {
-          std::vector<VertexId> targets;
-          std::vector<VertexId> req;
-          comp_size.for_each_stored([&](VertexId g, std::uint64_t) {
-            const VertexId l = labels.at(g);
-            if (l != g) {
-              targets.push_back(g);
-              req.push_back(l);
-            }
-          });
-          const auto got = dist::gather_values(grid, labels, req, tuning,
-                                               "stream_shortcut");
-          bool changed = false;
-          for (std::size_t k = 0; k < targets.size(); ++k) {
-            LACC_CHECK(got[k].second);
-            if (got[k].first != labels.at(targets[k])) {
-              labels.set(targets[k], got[k].first);
-              changed = true;
-            }
-          }
-          world.charge_compute(static_cast<double>(targets.size()) * 2);
-          if (!dist::global_any(grid, changed)) break;
+        sim::Region region(world, "stream-inc");
+        // The pairs' endpoints are exactly the touched roots, so dense ids
+        // index `touched`.
+        VertexId distinct = 0;
+        const auto dense = to_dense(pairs, n, distinct);
+        LACC_DCHECK(distinct == count);
+        support::DisjointSet sets(count);
+        for (const RootPair& e : dense) sets.unite(e.lo, e.hi);
+        std::vector<VertexId> least(count, kNoVertex);
+        for (VertexId k = 0; k < count; ++k) {
+          VertexId& min = least[sets.find(k)];
+          if (min == kNoVertex) min = k;
+          to[k] = min;
+          merged[min] += touched[k].size;
         }
+        world.charge_compute(static_cast<double>(pairs.size()) * 3 +
+                             static_cast<double>(count) * 2);
       }
 
-      // Relabel: broadcast the (old root -> final root, size) moves, then
-      // each rank rewrites its owned labels with one local hash lookup per
-      // element and transfers component sizes to the surviving roots.
-      {
-        sim::Region relabel(world, "stream-relabel");
-        struct Moved {
-          VertexId old_root;
-          VertexId new_root;
-          std::uint64_t size;
-        };
-        std::vector<Moved> moved;
-        comp_size.for_each_stored([&](VertexId g, std::uint64_t s) {
-          const VertexId l = labels.at(g);
-          if (l != g) moved.push_back({g, l, s});
-        });
-        const std::vector<Moved> all_moved = world.allgatherv(moved);
-        std::unordered_map<VertexId, VertexId> remap;
-        remap.reserve(all_moved.size());
-        for (const Moved& m : all_moved) remap.emplace(m.old_root, m.new_root);
-        for (const VertexId g : labels.owned()) {
-          const auto it = remap.find(labels.at(g));
-          if (it != remap.end()) labels.set(g, it->second);
-        }
-        for (const Moved& m : all_moved) {
-          if (comp_size.owns(m.new_root))
-            comp_size.set(m.new_root,
-                          comp_size.get_or(m.new_root, 0) + m.size);
-          if (comp_size.owns(m.old_root)) comp_size.remove(m.old_root);
-        }
-        world.charge_compute(static_cast<double>(labels.local_size()) +
-                             static_cast<double>(all_moved.size()) * 2);
+      // Relabel locally: each rank moves component sizes onto the surviving
+      // roots it owns and rewrites the owned labels of moved roots' members
+      // with one hash lookup per element.
+      sim::Region relabel(world, "stream-relabel");
+      std::unordered_map<VertexId, VertexId> remap;  // moved root -> new root
+      for (VertexId k = 0; k < count; ++k) {
+        const VertexId root = touched[k].root;
+        if (to[k] != k) remap.emplace(root, touched[to[k]].root);
+        if (!comp_size.owns(root)) continue;
+        if (to[k] == k)
+          comp_size.set(root, merged[k]);
+        else
+          comp_size.remove(root);
       }
+      for (const VertexId g : labels.owned()) {
+        const auto it = remap.find(labels.at(g));
+        if (it != remap.end()) labels.set(g, it->second);
+      }
+      world.charge_compute(static_cast<double>(labels.local_size()) +
+                           static_cast<double>(count));
     }
 
     // Per-epoch fsync policy: make this epoch's WAL records durable before
@@ -495,12 +516,10 @@ EpochStats StreamEngine::advance_epoch() {
     // when the WAL just rotated).  Host-side disk work, not modeled time.
     if (slot.store != nullptr) slot.store->wal().sync_epoch();
 
-    // Modeled epoch time stops here; the label gather below is result
-    // extraction (same convention as lacc_dist_body).
+    // Modeled epoch time stops here; the host reads the labels out of the
+    // rank slots after the join (result extraction, outside the model).
     modeled[static_cast<std::size_t>(world.rank())] = world.state().sim_time;
-    auto flat = dist::to_global(grid, labels, kNoVertex);
     if (world.rank() == 0) {
-      flat_labels = std::move(flat);
       sh_cross = cross_total;
       sh_dirty = dirty;
       sh_delta_nnz = compact ? 0 : delta_nnz;
@@ -529,7 +548,7 @@ EpochStats StreamEngine::advance_epoch() {
 
   // Host-side epoch bookkeeping: diff against the previous snapshot to
   // extend the version chains, then count surviving roots.
-  LACC_CHECK(flat_labels.size() == current_labels_.size());
+  std::vector<VertexId> flat_labels = gather_labels();
   std::uint64_t components = 0;
   for (VertexId v = 0; v < n_; ++v) {
     if (flat_labels[v] == v) ++components;
@@ -585,6 +604,15 @@ std::vector<graph::Edge> StreamEngine::take_extracted_boundary() {
   std::vector<graph::Edge> out;
   out.swap(extracted_boundary_);
   return out;
+}
+
+std::vector<VertexId> StreamEngine::gather_labels() const {
+  // Plain data read after the last session joined, like durability_stats.
+  std::vector<VertexId> flat(n_, kNoVertex);
+  for (const auto& slot : slots_)
+    for (const VertexId g : slot->labels->owned())
+      flat[g] = slot->labels->at(g);
+  return flat;
 }
 
 durable::DurabilityStats StreamEngine::durability_stats() const {

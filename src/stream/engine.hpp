@@ -10,9 +10,11 @@
 //   1. filters each batch down to *cross-component* edges with one batched
 //      distributed label lookup (almost all edges of a mature graph land
 //      inside an existing component and cost nothing further);
-//   2. runs hook/shortcut iterations — the same Shiloach–Vishkin machinery
-//      as LACC, warm-started from the previous epoch's labels — on just the
-//      induced active set of component roots;
+//   2. contracts the cross edges to pairs of component roots, cuts each
+//      rank's pairs down to a spanning forest, allgathers the forests, and
+//      runs the same min-root union-find over them on every rank — so the
+//      relabel of the merged components is local, with no hook/shortcut
+//      rounds;
 //   3. falls back to a full lacc_dist recompute when the touched component
 //      mass ("dirty fraction") exceeds a threshold, where the incremental
 //      pass would degenerate into the full algorithm anyway.
@@ -108,7 +110,9 @@ struct EpochStats {
   std::uint64_t boundary_extracted = 0;  ///< cross-shard edges parked this epoch
   bool full_rebuild = false;  ///< took the lacc_dist fallback path
   bool compacted = false;     ///< delta runs merged into the DCSC base
-  int iterations = 0;  ///< hook/shortcut rounds (or lacc_dist iterations)
+  /// lacc_dist iterations on a rebuild, 1 on an incremental epoch with
+  /// cross edges, 0 otherwise.
+  int iterations = 0;
   double ingest_modeled_seconds = 0;   ///< routing cost of this epoch's batches
   double advance_modeled_seconds = 0;  ///< epoch collectives (critical path)
 
@@ -209,6 +213,9 @@ class StreamEngine {
 
  private:
   struct RankSlot;  // per-rank persistent distributed state
+
+  /// Flat label vector read host-side from every rank's owned share.
+  std::vector<VertexId> gather_labels() const;
 
   VertexId n_;
   int nranks_;
